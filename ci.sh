@@ -5,7 +5,7 @@ cd "$(dirname "$0")"
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
-cargo test --release
+cargo test --workspace --release
 cargo build --release --examples
 # Smoke: 4-volume pool, striped region, one member failure + online
 # resilver — asserts internally, fails loud if the pool path rots.
@@ -40,8 +40,8 @@ cargo run --release -p pm-bench --bin georep
 # Crash-point fuzz smoke: ~200 injected power-loss points across the
 # three persistence modes plus the device-append offload arm (power loss
 # sampled between device tail bump and client ack; release: `cargo test
-# --release` above already ran it once; FUZZ_FULL=1 widens to the
-# ≥ 2000-point sweep).
+# --workspace --release` above already ran it once; FUZZ_FULL=1 widens
+# to the ≥ 2000-point sweep).
 FUZZ_FULL="${FUZZ_FULL:-}" cargo test --release --test crash_fuzz
 # Throughput-regression gate: fresh --json runs vs committed results/.
 tools/bench_check.sh

@@ -28,22 +28,7 @@ pub fn install_pm_system(
     backup_cpu: Option<CpuId>,
 ) -> PmSystem {
     let net = machine.lock().net.clone();
-    let a = Npmu::install(
-        sim,
-        store,
-        &net,
-        Some(machine),
-        &format!("{prefix}-a"),
-        device.clone(),
-    );
-    let b = Npmu::install(
-        sim,
-        store,
-        &net,
-        Some(machine),
-        &format!("{prefix}-b"),
-        device,
-    );
+    let (a, b) = Npmu::install_pair(sim, store, &net, Some(machine), prefix, device);
     let pmm_name = format!("$PMM-{prefix}");
     let pmm = install_pmm_pair(
         sim,
@@ -92,15 +77,20 @@ pub fn install_pm_pool(
     let n = n_volumes.max(1);
     let mut volumes = Vec::with_capacity(n as usize);
     for v in 0..n {
-        let (an, bn) = if n == 1 {
-            (format!("{prefix}-a"), format!("{prefix}-b"))
+        let pair = if n == 1 {
+            prefix.to_string()
         } else {
-            (format!("{prefix}{v}-a"), format!("{prefix}{v}-b"))
+            format!("{prefix}{v}")
         };
         let dev = device.clone().with_volume(v);
-        let a = Npmu::install(sim, store, &net, Some(machine), &an, dev.clone());
-        let b = Npmu::install(sim, store, &net, Some(machine), &bn, dev);
-        volumes.push((a, b));
+        volumes.push(Npmu::install_pair(
+            sim,
+            store,
+            &net,
+            Some(machine),
+            &pair,
+            dev,
+        ));
     }
     let pmm_name = format!("$PMM-{prefix}");
     let pmm = install_pmm_pool(

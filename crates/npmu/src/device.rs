@@ -374,6 +374,22 @@ impl Npmu {
         }
     }
 
+    /// Install a mirrored pair, `<prefix>-a` and `<prefix>-b`: the name
+    /// suffixes are what [`Npmu::install`] reads each half's mirror side
+    /// from.
+    pub fn install_pair(
+        sim: &mut Sim,
+        store: &mut DurableStore,
+        net: &SharedNetwork,
+        machine: Option<&SharedMachine>,
+        prefix: &str,
+        cfg: NpmuConfig,
+    ) -> (NpmuHandle, NpmuHandle) {
+        let half = |h: char| format!("{prefix}-{h}");
+        let a = Self::install(sim, store, net, machine, &half('a'), cfg.clone());
+        (a, Self::install(sim, store, net, machine, &half('b'), cfg))
+    }
+
     /// Does the engaged write fence bar this initiator? Peer devices
     /// (resilver DMA) and exempt endpoints (the managing PMMs) pass.
     fn fenced(&self, from_ep: EndpointId) -> bool {

@@ -227,6 +227,16 @@ impl Machine {
     }
 }
 
+/// Panics, naming the process, unless `cpu` exists on `machine`: a half
+/// placed on a missing CPU would never be scheduled or failed over.
+fn assert_cpu_exists(machine: &SharedMachine, name: &str, cpu: CpuId) {
+    let cpus = machine.lock().cfg.cpus;
+    assert!(
+        cpu.0 < cpus,
+        "{name}: {cpu:?} does not exist on a {cpus}-CPU machine"
+    );
+}
+
 /// Convenience: spawn an actor produced by `make` (which receives the
 /// endpoint it will own) and register it as primary of `name` on `cpu`.
 ///
@@ -242,6 +252,7 @@ pub fn install_primary<F>(
 where
     F: FnOnce(EndpointId) -> Box<dyn simcore::Actor>,
 {
+    assert_cpu_exists(machine, name, cpu);
     let net = machine.lock().net.clone();
     let ep = net.lock().attach(ActorId(u32::MAX));
     let actor = {
@@ -273,6 +284,7 @@ pub fn install_backup<F>(
 where
     F: FnOnce(EndpointId) -> Box<dyn simcore::Actor>,
 {
+    assert_cpu_exists(machine, name, cpu);
     let net = machine.lock().net.clone();
     let ep = net.lock().attach(ActorId(u32::MAX));
     let actor = {
@@ -337,6 +349,15 @@ mod tests {
         };
         m.lock().promote_backup("$p");
         assert_eq!(net.lock().actor_of(old_ep), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "$ghost: cpu4 does not exist on a 4-CPU machine")]
+    fn install_on_missing_cpu_panics_with_process_name() {
+        let mut sim = Sim::new(simcore::SimConfig::default());
+        install_primary(&mut sim, &machine(), "$ghost", CpuId(4), |_| {
+            unreachable!("nothing spawns on a missing CPU")
+        });
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Dispatch tracing for determinism verification.
 //!
-//! When enabled, every dispatch is folded into an FNV-1a digest (and
-//! counted). Two runs with the same scenario and seed must produce the same
-//! digest; the integration suite asserts this for every major experiment.
+//! When enabled (`SimConfig::trace`), every dispatch is folded into an
+//! FNV-1a digest (and counted). Two runs with the same scenario and seed
+//! must produce the same digest. Only `simcore`'s own unit tests turn
+//! tracing on; the integration suite checks determinism through pinned
+//! event counts and stats in `tests/determinism.rs` instead.
 
 use crate::actor::ActorId;
 use crate::time::SimTime;

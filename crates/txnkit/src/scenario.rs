@@ -6,6 +6,10 @@
 //! S86000 (plus a 5th CPU hosting the PMP in PM mode), one ADP per CPU
 //! with one auxiliary audit volume each, four database files each
 //! partitioned four ways across the CPUs' DP2s, and 16 data volumes.
+//!
+//! [`build_ods`], [`build_cluster`] and [`build_georep`] all wire their
+//! nodes through one private assembler, so a single node is exactly
+//! shard 0 of a one-shard cluster under its legacy names.
 
 use crate::adp::{install_adp, AuditBackend};
 use crate::config::TxnConfig;
@@ -19,10 +23,11 @@ use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
 use pmm::{install_pmm_pool, PmmConfig, PmmHandle};
 use simcore::fault::FaultPlan;
-use simcore::{ActorId, DurableStore, Sim, SimConfig};
+use simcore::{DurableStore, Sim, SimConfig};
 use simdisk::{DiskConfig, DiskVolume, SharedDiskStats, SparseMedia};
 use simnet::{FabricConfig, Network, SharedNetwork};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Durability backend for the audit trail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,10 +88,6 @@ pub struct OdsParams {
     /// offload). The default keeps every offload off — host-mediated
     /// resilver reads/writes, bit-identical to pre-offload runs.
     pub pmm: PmmConfig,
-    /// Additional CPUs beyond the worker set (and the PM manager CPU in
-    /// PM modes) — hosts for site-level extras like the DR replica's PMM
-    /// and apply process. 0 for a plain node.
-    pub extra_cpus: u32,
 }
 
 impl OdsParams {
@@ -110,7 +111,6 @@ impl OdsParams {
             pm_ingress_drain_ns: None,
             qos: simnet::QosConfig::disabled(),
             pmm: PmmConfig::default(),
-            extra_cpus: 0,
         }
     }
 
@@ -135,12 +135,39 @@ impl OdsParams {
     }
 }
 
-/// Resolved audit-partition count for PM modes (0 ⇒ one per CPU).
-fn effective_audit_partitions(params: &OdsParams) -> u32 {
-    if params.audit_partitions == 0 {
-        params.cpus
-    } else {
-        params.audit_partitions
+/// ADP pairs per node. Disk mode keeps the paper's one-ADP-per-CPU
+/// topology; PM modes install `audit_partitions` independent pairs, each
+/// owning its own PM trail region (0 ⇒ one per CPU).
+fn adp_count(params: &OdsParams) -> u32 {
+    match params.audit {
+        AuditMode::Disk => params.cpus,
+        _ if params.audit_partitions == 0 => params.cpus,
+        _ => params.audit_partitions,
+    }
+}
+
+/// CPUs a node adds past its workers: PM modes host the PM devices'
+/// manager on one, like the paper's 5th-CPU PMP.
+fn manager_cpus(audit: AuditMode) -> u32 {
+    match audit {
+        AuditMode::Disk => 0,
+        _ => 1,
+    }
+}
+
+/// One PM pool member's device, of the audit mode's kind, sized for
+/// `max(cpus, ADPs) + 2` trail regions with their PMM metadata plus
+/// 64 MiB of slack. A DR site's standby pair reuses it.
+fn pm_device(params: &OdsParams) -> NpmuConfig {
+    let trail_regions = params.cpus.max(adp_count(params));
+    let cap = (params.pm_region_len + pmm::META_BYTES) * (trail_regions as u64 + 2) + (64 << 20);
+    let dev = match params.audit {
+        AuditMode::Pmp => NpmuConfig::pmp(cap),
+        _ => NpmuConfig::hardware(cap),
+    };
+    match params.pm_ingress_drain_ns {
+        Some(ns) => dev.with_ingress_drain_ns(ns),
+        None => dev,
     }
 }
 
@@ -158,9 +185,6 @@ pub struct OdsNode {
     pub partition_map: HashMap<PartitionId, String>,
     pub dp2s: Vec<String>,
     pub audit_volume_stats: Vec<SharedDiskStats>,
-    pub data_volume_stats: Vec<SharedDiskStats>,
-    /// Member 0's NPMU pair (PM modes only) — the pre-pool field.
-    pub npmus: Option<(NpmuHandle, NpmuHandle)>,
     /// Every pool member's NPMU pair, in pool order (empty in disk mode).
     pub pm_pool: Vec<(NpmuHandle, NpmuHandle)>,
     /// PMM handle (PM modes only): mirror-health stats for fault tests.
@@ -171,202 +195,31 @@ pub struct OdsNode {
 /// Build the node into a fresh simulation around `store` (the durable
 /// world that persists across power loss).
 pub fn build_ods(store: &mut DurableStore, params: OdsParams) -> OdsNode {
-    let mut sim = Sim::new(SimConfig {
-        seed: params.seed,
-        ..SimConfig::default()
-    });
-    let net = Network::with_qos(params.fabric.clone(), params.qos);
-    // PM modes host the PM devices' manager on an extra CPU, like the
-    // paper's 5th-CPU PMP.
-    let total_cpus = match params.audit {
-        AuditMode::Disk => params.cpus,
-        _ => params.cpus + 1,
-    } + params.extra_cpus;
-    let machine = Machine::new(
-        MachineConfig {
-            cpus: total_cpus,
-            ..MachineConfig::default()
-        },
-        net.clone(),
-    );
-    let stats = stats::shared();
+    build_node(store, params, 0)
+}
 
-    // Arm the fault plan before anything spawns: devices and fabrics
-    // consult it per-op, and timed kills are scheduled deterministically.
-    Monitor::install(&mut sim, &machine, params.fault_plan.clone());
-
-    // --- PM devices + PMM (PM modes only) ---
-    let (pm_pool, pmm) = match params.audit {
-        AuditMode::Disk => (Vec::new(), None),
-        mode => {
-            let drain = params.pm_ingress_drain_ns;
-            let kind_cfg = |cap| {
-                let c = match mode {
-                    AuditMode::Pmp => NpmuConfig::pmp(cap),
-                    _ => NpmuConfig::hardware(cap),
-                };
-                match drain {
-                    Some(ns) => c.with_ingress_drain_ns(ns),
-                    None => c,
-                }
-            };
-            let trail_regions = params.cpus.max(effective_audit_partitions(&params));
-            let cap =
-                (params.pm_region_len + pmm::META_BYTES) * (trail_regions as u64 + 2) + (64 << 20);
-            let mut pool = Vec::new();
-            for v in 0..params.pm_volumes.max(1) {
-                // Member 0 keeps the pre-pool "pm-{a,b}" names so durable
-                // device images survive a change in pool size.
-                let (an, bn) = if v == 0 {
-                    ("pm-a".to_string(), "pm-b".to_string())
-                } else {
-                    (format!("pm{v}-a"), format!("pm{v}-b"))
-                };
-                let dev = kind_cfg(cap).with_volume(v);
-                let a = Npmu::install(&mut sim, store, &net, Some(&machine), &an, dev.clone());
-                let b = Npmu::install(&mut sim, store, &net, Some(&machine), &bn, dev);
-                pool.push((a, b));
-            }
-            let pm_cpu = CpuId(params.cpus); // the extra CPU
-            let pmm = install_pmm_pool(
-                &mut sim,
-                &machine,
-                "$PMM",
-                &pool,
-                pm_cpu,
-                if params.backups { Some(CpuId(0)) } else { None },
-                params.pmm.clone(),
-            );
-            (pool, Some(pmm))
-        }
+/// [`build_ods`] on a machine with `extra_cpus` more CPUs after the
+/// node's own, for site-level extras such as a DR replica.
+fn build_node(store: &mut DurableStore, params: OdsParams, extra_cpus: u32) -> OdsNode {
+    let params = ClusterParams {
+        shards: 1,
+        base: params,
     };
-
-    // --- audit trail processes ---
-    //
-    // Disk mode keeps the paper's one-ADP-per-CPU topology; PM modes
-    // install `audit_partitions` independent ADP pairs, each owning its
-    // own PM trail region (partitions default to one per CPU).
-    let n_adps = match params.audit {
-        AuditMode::Disk => params.cpus,
-        _ => effective_audit_partitions(&params),
-    };
-    let mut adps = Vec::new();
-    let mut audit_volume_stats = Vec::new();
-    for i in 0..n_adps {
-        let name = format!("$ADP{i}");
-        let backend = match params.audit {
-            AuditMode::Disk => {
-                let media = store.get_or_insert_with(&format!("disk:$AUDIT{i}"), SparseMedia::new);
-                let vol = DiskVolume::new(format!("$AUDIT{i}"), params.audit_disk.clone(), media);
-                audit_volume_stats.push(vol.stats());
-                let vol_actor = sim.spawn(vol);
-                AuditBackend::Disk { volume: vol_actor }
-            }
-            _ => AuditBackend::Pm {
-                pmm: "$PMM".into(),
-                region: format!("adp{i}.audit"),
-                region_len: params.pm_region_len,
-            },
-        };
-        install_adp(
-            &mut sim,
-            &machine,
-            &name,
-            CpuId(i % params.cpus),
-            if params.backups {
-                Some(CpuId((i + 1) % params.cpus))
-            } else {
-                None
-            },
-            backend,
-            params.txn.clone(),
-            stats.clone(),
-        );
-        adps.push(name);
-    }
-
-    // --- data volumes + DP2s, one DP2 per CPU owning one partition of
-    //     every file ---
-    let mut partition_map = HashMap::new();
-    let mut dp2s = Vec::new();
-    let mut data_volume_stats = Vec::new();
-    for cpu in 0..params.cpus {
-        let name = format!("$DP2-{cpu}");
-        let mut vols = Vec::new();
-        for v in 0..params.data_volumes_per_dp2 {
-            let media = store.get_or_insert_with(&format!("disk:$DATA{cpu}-{v}"), SparseMedia::new);
-            let vol = DiskVolume::new(format!("$DATA{cpu}-{v}"), params.data_disk.clone(), media);
-            data_volume_stats.push(vol.stats());
-            vols.push(sim.spawn(vol));
-        }
-        let mut parts = Vec::new();
-        for file in 0..params.files {
-            let part = PartitionId { file, part: cpu };
-            if cpu < params.parts_per_file {
-                parts.push(part);
-                partition_map.insert(part, name.clone());
-            }
-        }
-        // Disk mode keeps the classic CPU-affine trail (each DP2 logs to
-        // its own CPU's ADP); PM modes route every audit site by
-        // transaction hash across all partitions.
-        let dp2_adps = match params.audit {
-            AuditMode::Disk => vec![format!("$ADP{cpu}")],
-            _ => adps.clone(),
-        };
-        install_dp2(
-            &mut sim,
-            &machine,
-            &name,
-            CpuId(cpu),
-            if params.backups {
-                Some(CpuId((cpu + 1) % params.cpus))
-            } else {
-                None
-            },
-            parts,
-            dp2_adps,
-            vols,
-            params.txn.clone(),
-            stats.clone(),
-        );
-        dp2s.push(name);
-    }
-
-    // --- TMF, master trail routed by txn hash across partitions (disk
-    //     mode keeps the single ADP0 master trail) ---
-    let master_adps = match params.audit {
-        AuditMode::Disk => vec!["$ADP0".to_string()],
-        _ => adps.clone(),
-    };
-    install_tmf(
-        &mut sim,
-        &machine,
-        "$TMF",
-        CpuId(0),
-        if params.backups { Some(CpuId(1)) } else { None },
-        master_adps,
-        0,
-        None,
-        params.txn.clone(),
-        stats.clone(),
-    );
-
+    let mut node = assemble(store, params, Naming::Legacy, extra_cpus);
+    let shard = node.shards.pop().expect("one shard");
     OdsNode {
-        sim,
-        machine,
-        net,
-        stats,
-        tmf: "$TMF".into(),
-        adps,
-        partition_map,
-        dp2s,
-        audit_volume_stats,
-        data_volume_stats,
-        pmm,
-        npmus: pm_pool.first().cloned(),
-        pm_pool,
-        params,
+        sim: node.sim,
+        machine: node.machine,
+        net: node.net,
+        stats: node.stats,
+        tmf: shard.tmf,
+        adps: shard.adps,
+        partition_map: node.partition_map,
+        dp2s: shard.dp2s,
+        audit_volume_stats: node.audit_volume_stats,
+        pm_pool: shard.pm_pool,
+        pmm: shard.pmm,
+        params: node.params.base,
     }
 }
 
@@ -408,7 +261,6 @@ impl GeorepParams {
             base: OdsParams {
                 audit: AuditMode::HardwareNpmu,
                 txn: TxnConfig::pm_enabled(),
-                extra_cpus: 2,
                 ..OdsParams::baseline(seed)
             },
             wan: simnet::WanConfig::default(),
@@ -441,41 +293,22 @@ pub fn build_georep(store: &mut DurableStore, params: GeorepParams) -> GeorepNod
         params.base.audit != AuditMode::Disk,
         "geo-replication ships PM audit trails; use a PM audit mode"
     );
-    let mut base = params.base.clone();
     // CPU cpus+1 hosts the replica PMM, cpus+2 the replica apply process
     // (the shipper shares the primary's PM-manager CPU at `cpus`).
-    base.extra_cpus = base.extra_cpus.max(2);
-    let cpus = base.cpus;
-    let mut node = build_ods(store, base);
+    let cpus = params.base.cpus;
+    let mut node = build_node(store, params.base.clone(), 2);
 
     // --- DR site: standby NPMU pair + its own PMM namespace ---
-    let trail_regions = node
-        .params
-        .cpus
-        .max(effective_audit_partitions(&node.params));
-    let cap =
-        (node.params.pm_region_len + pmm::META_BYTES) * (trail_regions as u64 + 2) + (64 << 20);
-    let dev = match node.params.audit {
-        AuditMode::Pmp => NpmuConfig::pmp(cap),
-        _ => NpmuConfig::hardware(cap),
-    };
-    let a = Npmu::install(
+    let dev = pm_device(&node.params);
+    let machine = Some(&node.machine);
+    let dr_pool = vec![Npmu::install_pair(
         &mut node.sim,
         store,
         &node.net,
-        Some(&node.machine),
-        "drpm-a",
-        dev.clone(),
-    );
-    let b = Npmu::install(
-        &mut node.sim,
-        store,
-        &node.net,
-        Some(&node.machine),
-        "drpm-b",
+        machine,
+        "drpm",
         dev,
-    );
-    let dr_pool = vec![(a, b)];
+    )];
     let dr_pmm = install_pmm_pool(
         &mut node.sim,
         &node.machine,
@@ -586,7 +419,6 @@ pub struct ClusterNode {
     pub net: SharedNetwork,
     pub stats: SharedTxnStats,
     pub shards: Vec<ShardHandle>,
-    pub directory: std::sync::Arc<ShardDirectory>,
     /// Global partition → owning DP2 name (files renumbered per shard).
     pub partition_map: HashMap<PartitionId, String>,
     pub audit_volume_stats: Vec<SharedDiskStats>,
@@ -610,45 +442,47 @@ pub struct ClusterView {
     pub cpus_per_shard: u32,
 }
 
-impl ClusterNode {
-    pub fn view(&self) -> ClusterView {
-        let base = &self.params.base;
-        let pm_extra = match base.audit {
-            AuditMode::Disk => 0,
-            _ => 1,
-        };
+impl ClusterView {
+    fn new(
+        base: &OdsParams,
+        tmfs: Vec<String>,
+        partition_map: HashMap<PartitionId, String>,
+    ) -> Self {
+        let shards = tmfs.len() as u32;
+        let stride = base.cpus + manager_cpus(base.audit);
         ClusterView {
-            shards: self.params.shards,
-            tmfs: self.shards.iter().map(|s| s.tmf.clone()).collect(),
-            partition_map: self.partition_map.clone(),
+            shards,
+            tmfs,
+            partition_map,
             files: base.files,
             parts_per_file: base.parts_per_file,
-            shard_cpu_base: (0..self.params.shards)
-                .map(|s| s * (base.cpus + pm_extra))
-                .collect(),
+            shard_cpu_base: (0..shards).map(|s| s * stride).collect(),
             cpus_per_shard: base.cpus,
         }
+    }
+}
+
+impl ClusterNode {
+    pub fn view(&self) -> ClusterView {
+        let tmfs = self.shards.iter().map(|s| s.tmf.clone()).collect();
+        ClusterView::new(&self.params.base, tmfs, self.partition_map.clone())
     }
 
     /// Store key of a shard's member-`v` NPMU half (`'a'`/`'b'`), for
     /// offline trail reads in recovery tests.
     pub fn npmu_store_key(shard: u32, volume: u32, half: char) -> String {
-        format!("npmu:pm-s{shard}m{volume}-{half}")
+        format!("npmu:{}-{half}", Naming::Sharded.npmu_pair(shard, volume))
     }
 }
 
 impl OdsNode {
     /// Single-node view for the workload driver.
     pub fn view(&self) -> ClusterView {
-        ClusterView {
-            shards: 1,
-            tmfs: vec![self.tmf.clone()],
-            partition_map: self.partition_map.clone(),
-            files: self.params.files,
-            parts_per_file: self.params.parts_per_file,
-            shard_cpu_base: vec![0],
-            cpus_per_shard: self.params.cpus,
-        }
+        ClusterView::new(
+            &self.params,
+            vec![self.tmf.clone()],
+            self.partition_map.clone(),
+        )
     }
 }
 
@@ -659,102 +493,161 @@ impl OdsNode {
 /// the shared [`ShardDirectory`] tells each TMF which shard owns which
 /// ADP/DP2, enabling the cross-shard 2PC path.
 pub fn build_cluster(store: &mut DurableStore, params: ClusterParams) -> ClusterNode {
-    assert!(params.shards.is_power_of_two() && params.shards >= 1);
+    assemble(store, params, Naming::Sharded, 0)
+}
+
+/// How [`assemble`] names shard `s`'s processes and devices.
+#[derive(Clone, Copy)]
+enum Naming {
+    /// The single-node names (`$TMF`, `$ADP{i}`, `pm-a`, `$AUDIT{i}`, …),
+    /// for one shard only. They are kept because device names are
+    /// durable store keys: an image written as `npmu:pm-a` or
+    /// `disk:$AUDIT0` must still adopt.
+    Legacy,
+    /// Names unique across shards (`$TMF-s{s}`, `$ADP-s{s}p{i}`, …).
+    Sharded,
+}
+
+impl Naming {
+    fn pick(self, legacy: String, sharded: String) -> String {
+        match self {
+            Naming::Legacy => legacy,
+            Naming::Sharded => sharded,
+        }
+    }
+
+    fn tmf(self, s: u32) -> String {
+        self.pick("$TMF".into(), format!("$TMF-s{s}"))
+    }
+
+    fn pmm(self, s: u32) -> String {
+        self.pick("$PMM".into(), format!("$PMM-s{s}"))
+    }
+
+    fn adp(self, s: u32, i: u32) -> String {
+        self.pick(format!("$ADP{i}"), format!("$ADP-s{s}p{i}"))
+    }
+
+    fn dp2(self, s: u32, c: u32) -> String {
+        self.pick(format!("$DP2-{c}"), format!("$DP2-s{s}c{c}"))
+    }
+
+    fn audit_volume(self, s: u32, i: u32) -> String {
+        self.pick(format!("$AUDIT{i}"), format!("$AUDIT-s{s}i{i}"))
+    }
+
+    fn data_volume(self, s: u32, c: u32, v: u32) -> String {
+        self.pick(format!("$DATA{c}-{v}"), format!("$DATA-s{s}c{c}-{v}"))
+    }
+
+    /// Name prefix of pool member `v`'s NPMU pair (halves add `-a`/`-b`).
+    /// Legacy member 0 keeps the pre-pool `pm` so its images survive a
+    /// change in pool size.
+    fn npmu_pair(self, s: u32, v: u32) -> String {
+        let legacy = if v == 0 {
+            "pm".into()
+        } else {
+            format!("pm{v}")
+        };
+        self.pick(legacy, format!("pm-s{s}m{v}"))
+    }
+}
+
+/// The one node assembler: `params.shards` complete ODS nodes in one
+/// simulation, on a machine with `extra_cpus` more CPUs after theirs.
+/// Shard `s` owns CPUs from `s * (cpus + manager CPUs)`. Within a shard,
+/// processes spawn in a fixed order — NPMUs, PMM, ADPs with their audit
+/// volumes, DP2s with their data volumes, TMF — so every build
+/// dispatches the same events.
+fn assemble(
+    store: &mut DurableStore,
+    params: ClusterParams,
+    naming: Naming,
+    extra_cpus: u32,
+) -> ClusterNode {
+    assert!(params.shards.is_power_of_two());
     let base = &params.base;
     let mut sim = Sim::new(SimConfig {
         seed: base.seed,
         ..SimConfig::default()
     });
     let net = Network::with_qos(base.fabric.clone(), base.qos);
-    let pm_extra = match base.audit {
-        AuditMode::Disk => 0,
-        _ => 1,
-    };
-    let cpus_per_shard = base.cpus + pm_extra;
+    let stride = base.cpus + manager_cpus(base.audit);
     let machine = Machine::new(
         MachineConfig {
-            cpus: params.shards * cpus_per_shard,
+            cpus: params.shards * stride + extra_cpus,
             ..MachineConfig::default()
         },
         net.clone(),
     );
     let stats = stats::shared();
+
+    // Arm the fault plan before anything spawns: devices and fabrics
+    // consult it per-op, and timed kills are scheduled deterministically.
     Monitor::install(&mut sim, &machine, base.fault_plan.clone());
 
-    // Pass 1: names into the directory (TMFs need it at install time).
-    let mut directory =
-        ShardDirectory::new((0..params.shards).map(|s| format!("$TMF-s{s}")).collect());
-    let n_adps = match base.audit {
-        AuditMode::Disk => base.cpus,
-        _ => effective_audit_partitions(base),
-    };
+    let n_adps = adp_count(base);
+
+    // Names into the directory first: TMFs need it at install time.
+    let mut directory = ShardDirectory::new((0..params.shards).map(|s| naming.tmf(s)).collect());
     for s in 0..params.shards {
         for i in 0..n_adps {
-            directory.register(format!("$ADP-s{s}p{i}"), s);
+            directory.register(naming.adp(s, i), s);
         }
         for c in 0..base.cpus {
-            directory.register(format!("$DP2-s{s}c{c}"), s);
+            directory.register(naming.dp2(s, c), s);
         }
     }
-    let directory = std::sync::Arc::new(directory);
+    let directory = Arc::new(directory);
 
     let mut shards = Vec::new();
     let mut partition_map = HashMap::new();
     let mut audit_volume_stats = Vec::new();
     for s in 0..params.shards {
-        let cpu0 = s * cpus_per_shard;
-        let scpu = |c: u32| CpuId(cpu0 + c);
+        let cpu0 = s * stride;
+        // Process pair `c` runs its primary on worker `c` and its backup
+        // on the next worker.
+        let place = |c: u32| {
+            let backup = base.backups.then(|| CpuId(cpu0 + (c + 1) % base.cpus));
+            (CpuId(cpu0 + c % base.cpus), backup)
+        };
 
-        // --- PM devices + per-shard PMM namespace ---
-        let pmm_name = format!("$PMM-s{s}");
+        // --- PM devices + the shard's PMM namespace (PM modes only) ---
+        let pmm_name = naming.pmm(s);
         let (pm_pool, pmm) = match base.audit {
             AuditMode::Disk => (Vec::new(), None),
-            mode => {
-                let kind_cfg = |cap| {
-                    let c = match mode {
-                        AuditMode::Pmp => NpmuConfig::pmp(cap),
-                        _ => NpmuConfig::hardware(cap),
-                    };
-                    match base.pm_ingress_drain_ns {
-                        Some(ns) => c.with_ingress_drain_ns(ns),
-                        None => c,
-                    }
-                };
-                let trail_regions = base.cpus.max(n_adps);
-                let cap = (base.pm_region_len + pmm::META_BYTES) * (trail_regions as u64 + 2)
-                    + (64 << 20);
-                let mut pool = Vec::new();
-                for v in 0..base.pm_volumes.max(1) {
-                    let an = format!("pm-s{s}m{v}-a");
-                    let bn = format!("pm-s{s}m{v}-b");
-                    let dev = kind_cfg(cap).with_volume(s * base.pm_volumes.max(1) + v);
-                    let a = Npmu::install(&mut sim, store, &net, Some(&machine), &an, dev.clone());
-                    let b = Npmu::install(&mut sim, store, &net, Some(&machine), &bn, dev);
-                    pool.push((a, b));
-                }
+            _ => {
+                let members = base.pm_volumes.max(1);
+                let pool: Vec<_> = (0..members)
+                    .map(|v| {
+                        let dev = pm_device(base).with_volume(s * members + v);
+                        let prefix = naming.npmu_pair(s, v);
+                        Npmu::install_pair(&mut sim, store, &net, Some(&machine), &prefix, dev)
+                    })
+                    .collect();
                 let pmm = install_pmm_pool(
                     &mut sim,
                     &machine,
                     &pmm_name,
                     &pool,
-                    scpu(base.cpus),
-                    if base.backups { Some(scpu(0)) } else { None },
+                    CpuId(cpu0 + base.cpus),
+                    base.backups.then_some(CpuId(cpu0)),
                     base.pmm.clone(),
                 );
                 (pool, Some(pmm))
             }
         };
 
-        // --- audit partitions ---
+        // --- audit trail processes ---
         let mut adps = Vec::new();
         for i in 0..n_adps {
-            let name = format!("$ADP-s{s}p{i}");
+            let name = naming.adp(s, i);
             let backend = match base.audit {
                 AuditMode::Disk => {
-                    let media = store
-                        .get_or_insert_with(&format!("disk:$AUDIT-s{s}i{i}"), SparseMedia::new);
-                    let vol =
-                        DiskVolume::new(format!("$AUDIT-s{s}i{i}"), base.audit_disk.clone(), media);
+                    let vol_name = naming.audit_volume(s, i);
+                    let media =
+                        store.get_or_insert_with(&format!("disk:{vol_name}"), SparseMedia::new);
+                    let vol = DiskVolume::new(vol_name, base.audit_disk.clone(), media);
                     audit_volume_stats.push(vol.stats());
                     AuditBackend::Disk {
                         volume: sim.spawn(vol),
@@ -766,16 +659,13 @@ pub fn build_cluster(store: &mut DurableStore, params: ClusterParams) -> Cluster
                     region_len: base.pm_region_len,
                 },
             };
+            let (cpu, backup) = place(i);
             install_adp(
                 &mut sim,
                 &machine,
                 &name,
-                scpu(i % base.cpus),
-                if base.backups {
-                    Some(scpu((i + 1) % base.cpus))
-                } else {
-                    None
-                },
+                cpu,
+                backup,
                 backend,
                 base.txn.clone(),
                 stats.clone(),
@@ -783,17 +673,16 @@ pub fn build_cluster(store: &mut DurableStore, params: ClusterParams) -> Cluster
             adps.push(name);
         }
 
-        // --- data volumes + DP2s ---
+        // --- data volumes + DP2s, one DP2 per CPU owning one partition
+        //     of every file ---
         let mut dp2s = Vec::new();
         for c in 0..base.cpus {
-            let name = format!("$DP2-s{s}c{c}");
+            let name = naming.dp2(s, c);
             let mut vols = Vec::new();
             for v in 0..base.data_volumes_per_dp2 {
-                let media =
-                    store.get_or_insert_with(&format!("disk:$DATA-s{s}c{c}-{v}"), SparseMedia::new);
-                let vol =
-                    DiskVolume::new(format!("$DATA-s{s}c{c}-{v}"), base.data_disk.clone(), media);
-                vols.push(sim.spawn(vol));
+                let vol_name = naming.data_volume(s, c, v);
+                let media = store.get_or_insert_with(&format!("disk:{vol_name}"), SparseMedia::new);
+                vols.push(sim.spawn(DiskVolume::new(vol_name, base.data_disk.clone(), media)));
             }
             let mut parts = Vec::new();
             for file in 0..base.files {
@@ -808,20 +697,20 @@ pub fn build_cluster(store: &mut DurableStore, params: ClusterParams) -> Cluster
                     partition_map.insert(part, name.clone());
                 }
             }
+            // Disk mode keeps the classic CPU-affine trail (each DP2 logs
+            // to its own CPU's ADP); PM modes route every audit site by
+            // transaction hash across all partitions.
             let dp2_adps = match base.audit {
-                AuditMode::Disk => vec![format!("$ADP-s{s}p{c}")],
+                AuditMode::Disk => vec![adps[c as usize].clone()],
                 _ => adps.clone(),
             };
+            let (cpu, backup) = place(c);
             install_dp2(
                 &mut sim,
                 &machine,
                 &name,
-                scpu(c),
-                if base.backups {
-                    Some(scpu((c + 1) % base.cpus))
-                } else {
-                    None
-                },
+                cpu,
+                backup,
                 parts,
                 dp2_adps,
                 vols,
@@ -831,25 +720,23 @@ pub fn build_cluster(store: &mut DurableStore, params: ClusterParams) -> Cluster
             dp2s.push(name);
         }
 
-        // --- shard TMF, wired into the cluster directory ---
-        let tmf = format!("$TMF-s{s}");
+        // --- TMF, master trail routed by txn hash across partitions (disk
+        //     mode keeps the single first-ADP master trail) ---
+        let tmf = naming.tmf(s);
         let master_adps = match base.audit {
             AuditMode::Disk => vec![adps[0].clone()],
             _ => adps.clone(),
         };
+        let (cpu, backup) = place(0);
         install_tmf(
             &mut sim,
             &machine,
             &tmf,
-            scpu(0),
-            if base.backups {
-                Some(scpu(1 % base.cpus))
-            } else {
-                None
-            },
+            cpu,
+            backup,
             master_adps,
             s,
-            Some(directory.clone()),
+            directory.clone(),
             base.txn.clone(),
             stats.clone(),
         );
@@ -869,34 +756,8 @@ pub fn build_cluster(store: &mut DurableStore, params: ClusterParams) -> Cluster
         net,
         stats,
         shards,
-        directory,
         partition_map,
         audit_volume_stats,
         params,
-    }
-}
-
-/// Convenience for tests: route a partition to its DP2 name.
-impl OdsNode {
-    pub fn dp2_of(&self, partition: PartitionId) -> &str {
-        self.partition_map
-            .get(&partition)
-            .map(|s| s.as_str())
-            .expect("unmapped partition")
-    }
-
-    /// Audit-trail media images (disk mode), for recovery tests.
-    pub fn audit_media(
-        &self,
-        store: &mut DurableStore,
-        cpu: u32,
-    ) -> Option<simcore::durable::Image<SparseMedia>> {
-        store.get::<SparseMedia>(&format!("disk:$AUDIT{cpu}"))
-    }
-
-    /// All spawned volume actor ids are private; the harness reads media
-    /// through the durable store instead.
-    pub fn placeholder(&self) -> ActorId {
-        ActorId(u32::MAX)
     }
 }

@@ -163,9 +163,9 @@ pub struct TmfProc {
     cpu: CpuId,
     /// This TMF's shard id (encoded into allocated TxnIds).
     shard: u32,
-    /// Cluster directory for cross-shard routing; `None` = standalone
-    /// node, everything is local.
-    directory: Option<Arc<ShardDirectory>>,
+    /// Cluster directory for cross-shard routing; a standalone node's
+    /// has one shard, so everything is local.
+    directory: Arc<ShardDirectory>,
     /// ADPs holding the master audit trail (commit/abort records), one
     /// per audit partition: a transaction's commit record goes to
     /// `master_adps[txn.audit_partition(len)]` — the same mapping the
@@ -206,12 +206,14 @@ impl TmfProc {
             .cpu_work(self.cpu, now, self.cfg.commit_cpu_ns);
     }
 
-    fn sub_token(&mut self, ctx: &mut Ctx<'_>, commit_token: u64, kind: SubKind) -> u64 {
+    /// Register a sub-operation of commit `commit_token`, arm its retry
+    /// timer, and send it.
+    fn start_sub(&mut self, ctx: &mut Ctx<'_>, commit_token: u64, kind: SubKind) {
         let t = self.next_subop;
         self.next_subop += 1;
         self.subop.insert(t, (commit_token, kind));
         ctx.send_self(self.cfg.sub_retry_delay(0), SubRetry { sub: t, attempt: 0 });
-        t
+        self.send_sub(ctx, t);
     }
 
     fn send_proc<M: 'static + Send>(&self, ctx: &mut Ctx<'_>, to: &str, bytes: u32, msg: M) {
@@ -244,16 +246,37 @@ impl TmfProc {
     /// over and the new primary never saw it, or a peer TMF's reply was
     /// lost to a takeover).
     fn reissue(&mut self, ctx: &mut Ctx<'_>, sub: u64, attempt: u32) {
-        let Some((_, kind)) = self.subop.get(&sub).cloned() else {
+        if !self.subop.contains_key(&sub) {
+            return;
+        }
+        self.send_sub(ctx, sub);
+        let next = attempt + 1;
+        ctx.send_self(
+            self.cfg.sub_retry_delay(next),
+            SubRetry { sub, attempt: next },
+        );
+    }
+
+    /// Send a registered sub-operation's request, first try or retry.
+    fn send_sub(&self, ctx: &mut Ctx<'_>, sub: u64) {
+        let Some((_, kind)) = self.subop.get(&sub) else {
             return;
         };
         match kind {
             SubKind::DataFlush { adp, upto } | SubKind::PrepDataFlush { adp, upto, .. } => {
-                self.send_proc(ctx, &adp, 24, FlushReq { upto, token: sub });
+                self.send_proc(
+                    ctx,
+                    adp,
+                    24,
+                    FlushReq {
+                        upto: *upto,
+                        token: sub,
+                    },
+                );
             }
             SubKind::MasterAppend { txn } => {
-                if let Some(master) = self.master_for(txn) {
-                    let enc = crate::audit::AuditRecord::Commit { txn }.encode();
+                if let Some(master) = self.master_for(*txn) {
+                    let enc = crate::audit::AuditRecord::Commit { txn: *txn }.encode();
                     let virt = (enc.len() as u32).max(self.cfg.commit_record_bytes);
                     self.send_proc(
                         ctx,
@@ -268,8 +291,8 @@ impl TmfProc {
                 }
             }
             SubKind::PrepAppend { txn } => {
-                if let Some(master) = self.master_for(txn) {
-                    let enc = crate::audit::AuditRecord::Prepared { txn }.encode();
+                if let Some(master) = self.master_for(*txn) {
+                    let enc = crate::audit::AuditRecord::Prepared { txn: *txn }.encode();
                     let virt = (enc.len() as u32).max(self.cfg.commit_record_bytes);
                     self.send_proc(
                         ctx,
@@ -284,8 +307,16 @@ impl TmfProc {
                 }
             }
             SubKind::MasterFlush { txn, upto } | SubKind::PrepFlush { txn, upto } => {
-                if let Some(master) = self.master_for(txn) {
-                    self.send_proc(ctx, &master, 24, FlushReq { upto, token: sub });
+                if let Some(master) = self.master_for(*txn) {
+                    self.send_proc(
+                        ctx,
+                        &master,
+                        24,
+                        FlushReq {
+                            upto: *upto,
+                            token: sub,
+                        },
+                    );
                 }
             }
             SubKind::Prepare {
@@ -294,46 +325,36 @@ impl TmfProc {
                 flush_points,
                 involved_dp2,
             } => {
-                if let Some(dir) = self.directory.clone() {
-                    let name = self.name.clone();
-                    self.send_proc(
-                        ctx,
-                        dir.tmf(peer),
-                        64,
-                        PrepareTxn {
-                            txn,
-                            coord: name,
-                            flush_points,
-                            involved_dp2,
-                            token: sub,
-                        },
-                    );
-                }
+                self.send_proc(
+                    ctx,
+                    self.directory.tmf(*peer),
+                    64,
+                    PrepareTxn {
+                        txn: *txn,
+                        coord: self.name.clone(),
+                        flush_points: flush_points.clone(),
+                        involved_dp2: involved_dp2.clone(),
+                        token: sub,
+                    },
+                );
             }
             SubKind::Decision {
                 peer,
                 txn,
                 committed,
             } => {
-                if let Some(dir) = self.directory.clone() {
-                    self.send_proc(
-                        ctx,
-                        dir.tmf(peer),
-                        24,
-                        DecisionTxn {
-                            txn,
-                            committed,
-                            token: sub,
-                        },
-                    );
-                }
+                self.send_proc(
+                    ctx,
+                    self.directory.tmf(*peer),
+                    24,
+                    DecisionTxn {
+                        txn: *txn,
+                        committed: *committed,
+                        token: sub,
+                    },
+                );
             }
         }
-        let next = attempt + 1;
-        ctx.send_self(
-            self.cfg.sub_retry_delay(next),
-            SubRetry { sub, attempt: next },
-        );
     }
 
     /// A phase-1 local data flush completed.
@@ -375,20 +396,7 @@ impl TmfProc {
             self.commit_hardened(ctx, token);
         } else {
             state.phase = CommitPhase::MasterAppend;
-            let sub = self.sub_token(ctx, token, SubKind::MasterAppend { txn });
-            let master = self.master_for(txn).expect("master adp");
-            let enc = crate::audit::AuditRecord::Commit { txn }.encode();
-            let virt = (enc.len() as u32).max(self.cfg.commit_record_bytes);
-            self.send_proc(
-                ctx,
-                &master,
-                virt,
-                AuditAppend {
-                    records: enc,
-                    virtual_len: virt,
-                    token: sub,
-                },
-            );
+            self.start_sub(ctx, token, SubKind::MasterAppend { txn });
         }
     }
 
@@ -493,7 +501,7 @@ impl TmfProc {
         // Decision fan-out to participant shards (retried until acked;
         // off the response path — the decision record is already durable).
         for peer in &state.participants {
-            let sub = self.sub_token(
+            self.start_sub(
                 ctx,
                 token,
                 SubKind::Decision {
@@ -502,18 +510,6 @@ impl TmfProc {
                     committed: true,
                 },
             );
-            if let Some(dir) = self.directory.clone() {
-                self.send_proc(
-                    ctx,
-                    dir.tmf(*peer),
-                    24,
-                    DecisionTxn {
-                        txn: state.txn,
-                        committed: true,
-                        token: sub,
-                    },
-                );
-            }
         }
         // Post-commit lock release at every locally-involved DP2 (off the
         // response path).
@@ -548,20 +544,7 @@ impl TmfProc {
             self.prep_durable(ctx, txn);
             return;
         }
-        let sub = self.sub_token(ctx, 0, SubKind::PrepAppend { txn });
-        let master = self.master_for(txn).expect("master adp");
-        let enc = crate::audit::AuditRecord::Prepared { txn }.encode();
-        let virt = (enc.len() as u32).max(self.cfg.commit_record_bytes);
-        self.send_proc(
-            ctx,
-            &master,
-            virt,
-            AuditAppend {
-                records: enc,
-                virtual_len: virt,
-                token: sub,
-            },
-        );
+        self.start_sub(ctx, 0, SubKind::PrepAppend { txn });
     }
 
     /// The `Prepared` record is durable: this shard is in-doubt; vote yes.
@@ -683,26 +666,21 @@ impl Actor for TmfProc {
                     let mut local_flush: Vec<(String, Lsn)> = Vec::new();
                     let mut local_dp2: Vec<String> = Vec::new();
                     let mut remote: HashMap<u32, ShardWork> = HashMap::new();
-                    if let Some(dir) = &self.directory {
-                        for (adp, lsn) in req.flush_points {
-                            let s = dir.shard_of(&adp);
-                            if s == self.shard {
-                                local_flush.push((adp, lsn));
-                            } else {
-                                remote.entry(s).or_default().0.push((adp, lsn));
-                            }
+                    for (adp, lsn) in req.flush_points {
+                        let s = self.directory.shard_of(&adp);
+                        if s == self.shard {
+                            local_flush.push((adp, lsn));
+                        } else {
+                            remote.entry(s).or_default().0.push((adp, lsn));
                         }
-                        for dp2 in req.involved_dp2 {
-                            let s = dir.shard_of(&dp2);
-                            if s == self.shard {
-                                local_dp2.push(dp2);
-                            } else {
-                                remote.entry(s).or_default().1.push(dp2);
-                            }
+                    }
+                    for dp2 in req.involved_dp2 {
+                        let s = self.directory.shard_of(&dp2);
+                        if s == self.shard {
+                            local_dp2.push(dp2);
+                        } else {
+                            remote.entry(s).or_default().1.push(dp2);
                         }
-                    } else {
-                        local_flush = req.flush_points;
-                        local_dp2 = req.involved_dp2;
                     }
                     let token = self.next_token;
                     self.next_token += 1;
@@ -720,49 +698,19 @@ impl Actor for TmfProc {
                         started_ns: ctx.now().as_nanos(),
                     };
                     self.commits.insert(token, state);
-                    for (adp, lsn) in local_flush {
-                        let sub = self.sub_token(
-                            ctx,
-                            token,
-                            SubKind::DataFlush {
-                                adp: adp.clone(),
-                                upto: lsn,
-                            },
-                        );
-                        self.send_proc(
-                            ctx,
-                            &adp,
-                            24,
-                            FlushReq {
-                                upto: lsn,
-                                token: sub,
-                            },
-                        );
+                    for (adp, upto) in local_flush {
+                        self.start_sub(ctx, token, SubKind::DataFlush { adp, upto });
                     }
                     for peer in participants {
-                        let (fps, dp2s) = remote.remove(&peer).unwrap_or_default();
-                        let sub = self.sub_token(
+                        let (flush_points, involved_dp2) = remote.remove(&peer).unwrap_or_default();
+                        self.start_sub(
                             ctx,
                             token,
                             SubKind::Prepare {
                                 peer,
                                 txn: req.txn,
-                                flush_points: fps.clone(),
-                                involved_dp2: dp2s.clone(),
-                            },
-                        );
-                        let dir = self.directory.clone().expect("directory for cross-shard");
-                        let name = self.name.clone();
-                        self.send_proc(
-                            ctx,
-                            dir.tmf(peer),
-                            64,
-                            PrepareTxn {
-                                txn: req.txn,
-                                coord: name,
-                                flush_points: fps,
-                                involved_dp2: dp2s,
-                                token: sub,
+                                flush_points,
+                                involved_dp2,
                             },
                         );
                     }
@@ -854,25 +802,13 @@ impl Actor for TmfProc {
                     if req.flush_points.is_empty() {
                         self.prep_append(ctx, req.txn);
                     } else {
-                        for (adp, lsn) in req.flush_points {
-                            let sub = self.sub_token(
-                                ctx,
-                                0,
-                                SubKind::PrepDataFlush {
-                                    txn: req.txn,
-                                    adp: adp.clone(),
-                                    upto: lsn,
-                                },
-                            );
-                            self.send_proc(
-                                ctx,
-                                &adp,
-                                24,
-                                FlushReq {
-                                    upto: lsn,
-                                    token: sub,
-                                },
-                            );
+                        for (adp, upto) in req.flush_points {
+                            let kind = SubKind::PrepDataFlush {
+                                txn: req.txn,
+                                adp,
+                                upto,
+                            };
+                            self.start_sub(ctx, 0, kind);
                         }
                     }
                     return;
@@ -960,46 +896,13 @@ impl Actor for TmfProc {
                         SubKind::MasterAppend { .. } if self.commits.contains_key(&token) => {
                             let st = self.commits.get_mut(&token).unwrap();
                             st.phase = CommitPhase::MasterFlush;
-                            let txn = st.txn;
-                            let master = self.master_for(txn).expect("master adp");
-                            let sub = self.sub_token(
-                                ctx,
-                                token,
-                                SubKind::MasterFlush {
-                                    txn,
-                                    upto: done.lsn_end,
-                                },
-                            );
-                            self.send_proc(
-                                ctx,
-                                &master,
-                                24,
-                                FlushReq {
-                                    upto: done.lsn_end,
-                                    token: sub,
-                                },
-                            );
+                            let (txn, upto) = (st.txn, done.lsn_end);
+                            self.start_sub(ctx, token, SubKind::MasterFlush { txn, upto });
                         }
                         SubKind::MasterAppend { .. } => {}
                         SubKind::PrepAppend { txn } => {
-                            let master = self.master_for(txn).expect("master adp");
-                            let sub = self.sub_token(
-                                ctx,
-                                0,
-                                SubKind::PrepFlush {
-                                    txn,
-                                    upto: done.lsn_end,
-                                },
-                            );
-                            self.send_proc(
-                                ctx,
-                                &master,
-                                24,
-                                FlushReq {
-                                    upto: done.lsn_end,
-                                    token: sub,
-                                },
-                            );
+                            let upto = done.lsn_end;
+                            self.start_sub(ctx, 0, SubKind::PrepFlush { txn, upto });
                         }
                         _ => {}
                     }
@@ -1037,8 +940,8 @@ impl Actor for TmfProc {
 /// Install the TMF pair. `master_adps` names the ADPs that harden commit
 /// records, one per audit partition — records route by transaction hash;
 /// a single entry routes everything there; empty skips master-trail I/O.
-/// `shard`/`directory` place this TMF in a cluster: pass `0`/`None` for a
-/// standalone node (every commit stays on the fast path).
+/// `shard`/`directory` place this TMF in a cluster; a standalone node is
+/// shard 0 of a one-shard directory (every commit stays on the fast path).
 #[allow(clippy::too_many_arguments)]
 pub fn install_tmf(
     sim: &mut Sim,
@@ -1048,7 +951,7 @@ pub fn install_tmf(
     backup_cpu: Option<CpuId>,
     master_adps: Vec<String>,
     shard: u32,
-    directory: Option<Arc<ShardDirectory>>,
+    directory: Arc<ShardDirectory>,
     cfg: TxnConfig,
     stats: SharedTxnStats,
 ) {
