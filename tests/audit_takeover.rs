@@ -2,10 +2,11 @@
 //! under failure and backlog:
 //!
 //! * an ADP partition's primary is killed mid-run; the backup must
-//!   recover the exact durable position from the PM control cell — no
-//!   acknowledged append is lost and no commit is double-counted — and
-//!   offline recovery over the per-partition trails (merged by LSN)
-//!   rebuilds exactly the acknowledged history;
+//!   recover the exact durable position — from the PM control cell, or
+//!   from the devices' append tails when the trail rides the device-side
+//!   append — so no acknowledged append is lost and no commit is
+//!   double-counted, and offline recovery over the per-partition trails
+//!   (merged by LSN) rebuilds exactly the acknowledged history;
 //! * a burst of appends deeper than the pipeline ring coalesces into
 //!   wide batched writes and into fewer control-cell publications than
 //!   appends (one cell write covers every append completed since the
@@ -34,22 +35,32 @@ use txnkit::{AppendDone, AuditAppend, FlushDone, FlushReq, Lsn, TxnConfig};
 
 #[test]
 fn adp_primary_killed_mid_pipeline_loses_no_acknowledged_append() {
+    kill_partition_primary_mid_pipeline(false);
+}
+
+#[test]
+fn offload_adp_primary_killed_mid_append_loses_no_acknowledged_append() {
+    kill_partition_primary_mid_pipeline(true);
+}
+
+/// `offload` selects the device-side append (`pm_offload_append`): the
+/// takeover then recovers its position by probing the devices' tails
+/// instead of reading a control cell.
+fn kill_partition_primary_mid_pipeline(offload: bool) {
     let drivers = 2u32;
     let records_per_driver = 384u64;
     let inserts_per_txn = 8u32;
 
     // Drivers start at t = 1.1 s; partition 1's primary dies at 1.3 s
     // with appends in flight. PM-mode ADPs keep no backup checkpoints:
-    // the takeover must recover the durable watermark from the control
-    // cell alone.
+    // the takeover must recover the durable watermark from PM alone.
     let mut store = DurableStore::new();
-    let mut node = build_ods(
-        &mut store,
-        OdsParams {
-            audit: AuditMode::HardwareNpmu,
-            ..OdsParams::pm(0xAD17)
-        },
-    );
+    let mut params = OdsParams {
+        audit: AuditMode::HardwareNpmu,
+        ..OdsParams::pm(0xAD17)
+    };
+    params.txn.pm_offload_append = offload;
+    let mut node = build_ods(&mut store, params);
     Monitor::install(
         &mut node.sim,
         &node.machine,
@@ -101,16 +112,35 @@ fn adp_primary_killed_mid_pipeline_loses_no_acknowledged_append() {
     {
         let s = node.stats.lock();
         assert_eq!(s.adp_checkpoints, 0, "PM mode sends no data checkpoints");
-        assert!(s.pm_ctrl_writes > 0);
+        assert_eq!(s.pm_ctrl_writes > 0, !offload, "control cells iff classic");
         assert_eq!(s.txns_committed, want_txns);
     }
 
-    // The control cell the takeover read back is well-formed (at least
-    // one CRC-valid slot) and covers the partition's durable appends.
-    let raw = read_region(&mut store, "npmu:pm-a", "adp1.audit", 0);
-    let (wm, slot) = parse_ctrl_cell(&raw);
-    assert!(slot.is_some(), "no valid control-cell slot");
-    assert!(wm > 0, "partition 1 published no watermark");
+    if offload {
+        // Both halves' append cells hold the same CRC-valid tail, and it
+        // is exact: every byte of the trail lies below it.
+        let mut tails = Vec::new();
+        for half in ['a', 'b'] {
+            let raw = read_region(&mut store, &format!("npmu:pm-{half}"), "adp1.audit", 0);
+            let (tail, slot) = npmu::parse_append_cell(&raw);
+            assert!(slot.is_some(), "no valid append-cell slot on half {half}");
+            let trail = &raw[PM_CTRL_BYTES as usize..];
+            assert!(
+                trail[tail as usize..].iter().all(|&b| b == 0),
+                "half {half} holds trail bytes past its tail {tail}"
+            );
+            tails.push(tail);
+        }
+        assert!(tails[0] > 0, "partition 1 appended nothing");
+        assert_eq!(tails[0], tails[1], "mirrored tails diverged");
+    } else {
+        // The control cell the takeover read back is well-formed (at
+        // least one CRC-valid slot) and covers the durable appends.
+        let raw = read_region(&mut store, "npmu:pm-a", "adp1.audit", 0);
+        let (wm, slot) = parse_ctrl_cell(&raw);
+        assert!(slot.is_some(), "no valid control-cell slot");
+        assert!(wm > 0, "partition 1 published no watermark");
+    }
 
     // Offline recovery: merge the four per-partition trails by LSN and
     // redo. Every acknowledged commit (and only complete history) is

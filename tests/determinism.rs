@@ -184,6 +184,30 @@ fn partitioned_audit_runs_are_reproducible() {
 }
 
 #[test]
+fn offload_append_runs_are_reproducible() {
+    // The device-side append path (`pm_offload_append`): single-flight
+    // `rdma_append` batches, acks released from the devices' durable
+    // tail, boot recovery by tail probe.
+    let run = || {
+        let mut params = OdsParams {
+            audit: AuditMode::HardwareNpmu,
+            ..OdsParams::pm(0x0FF1)
+        };
+        params.txn.pm_offload_append = true;
+        let (node, st) = hot_node(params);
+        let s = st.lock();
+        let p = pin(&node.sim, s.committed_txns, &s.response, &node.stats);
+        let t = node.stats.lock();
+        (p, t.pm_batches, t.pm_ctrl_writes)
+    };
+    let a = run();
+    assert_eq!(a, run(), "offload-append run not deterministic");
+    assert_eq!(a.1, 288, "device-append batch count moved");
+    assert_eq!(a.2, 0, "offload mode publishes no control cells");
+    assert_eq!(a.0, PIN_OFFLOAD, "offload-append run moved");
+}
+
+#[test]
 fn node_boot_is_reproducible() {
     let run = || {
         let mut store = DurableStore::new();
@@ -319,6 +343,7 @@ const PIN_DISK: Pin = (4301, 8000000000, 32, 947198791, 32, 672490874, 32);
 const PIN_PMP: Pin = (12605, 8000000000, 32, 283466885, 32, 6068688, 32);
 const PIN_FAULTY: Pin = (10904, 8000000000, 32, 282364411, 32, 5534505, 32);
 const PIN_POOL4: Pin = (10527, 8000000000, 32, 282467954, 32, 5557714, 32);
+const PIN_OFFLOAD: Pin = (5401, 8000000000, 32, 279703372, 32, 4182272, 32);
 const PIN_BOOT: (u64, u64) = (171, 3000000000);
 const PIN_CLUSTER2: Pin = (29919, 4000000000, 93, 42543809826, 93, 44391124, 93);
 const PIN_CLUSTER4: Pin = (30969, 4000000000, 95, 10371692809, 95, 47063532, 95);
