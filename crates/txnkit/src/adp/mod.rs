@@ -15,9 +15,10 @@
 //!
 //! * `disk::DiskLog` (baseline): buffered appends checkpointed to the
 //!   backup before each ack, group-commit flushes to the audit volume.
-//! * `pm::PmLog` (the paper's ADP): a pipelined ring of in-flight
-//!   batched PM appends with coalesced control-cell watermark
-//!   publication — no backup checkpoints at all.
+//! * `pm::PmLog` (the paper's ADP): one staging core — a ring of
+//!   in-flight batched PM appends, re-driven on failure — published
+//!   either by a coalesced control-cell write or by the devices' own
+//!   append tails; no backup checkpoints at all.
 //!
 //! Scaling past one ADP is the scenario layer's job: §4.2's "multiple
 //! ADPs can be configured per node" installs N independent pairs, each
