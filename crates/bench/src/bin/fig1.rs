@@ -7,12 +7,11 @@
 //! shape at 1/16 the events).
 
 use hotstock::{run_hot_stock, HotStockParams, TxnSize};
-use pm_bench::{records_per_driver, Table};
+use pm_bench::{Args, Table};
 use txnkit::scenario::AuditMode;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let records = records_per_driver(&args);
+    let records = Args::parse().records_per_driver();
     eprintln!("fig1: {records} records/driver (use --full for 32000)");
 
     // Sweep (size × drivers × mode) across worker threads: every run is

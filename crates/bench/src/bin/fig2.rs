@@ -8,12 +8,11 @@
 //! Usage: `cargo run --release -p pm-bench --bin fig2 [--full]`
 
 use hotstock::{run_hot_stock, HotStockParams, TxnSize};
-use pm_bench::{records_per_driver, Table};
+use pm_bench::{Args, Table};
 use txnkit::scenario::AuditMode;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let records = records_per_driver(&args);
+    let records = Args::parse().records_per_driver();
     eprintln!("fig2: {records} records/driver (use --full for 32000)");
 
     let mut jobs = Vec::new();

@@ -30,7 +30,7 @@
 //! bench reports that crossover rather than asserting it away; both
 //! modes just have to stay under a loose backlog sanity ceiling.
 
-use pm_bench::{json, Table};
+use pm_bench::{Args, Table};
 use simcore::time::{MILLIS, SECS};
 use simcore::{DurableStore, SimTime};
 use txnkit::adp::parse_ctrl_cell;
@@ -159,7 +159,7 @@ fn run_arm(seed: u64, eager: bool, delay_ms: u64, drill: bool) -> DrillOutcome {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::parse();
     let delays: &[u64] = &[2, 10, 40];
     let fabric = GeorepParams::pm(0).base.fabric.clone();
 
@@ -257,8 +257,5 @@ fn main() {
          with fewer round trips."
     );
 
-    if json::wants_json(&args) {
-        let path = json::emit("georep", &metrics).expect("write json");
-        println!("wrote {}", path.display());
-    }
+    args.emit("georep", &metrics);
 }

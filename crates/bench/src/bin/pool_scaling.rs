@@ -4,12 +4,11 @@
 //! the ceiling near-linearly (the paper's §5 direction: "networks of
 //! persistent memory units" feeding scalable data stores).
 
-use pm_bench::{json, measure_pool_write_bw, PoolBwOpts, Table};
+use pm_bench::{measure_pool_write_bw, Args, PoolBwOpts, Table};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let ops_per_client = if full { 16_000 } else { 4_000 };
+    let args = Args::parse();
+    let ops_per_client = if args.full { 16_000 } else { 4_000 };
 
     let mut t = Table::new(&[
         "volumes",
@@ -54,8 +53,5 @@ fn main() {
     t.print("T7: pool write bandwidth vs member volumes (scale-out)");
     println!("acceptance: 4-volume aggregate bandwidth >= 3x 1-volume");
 
-    if json::wants_json(&args) {
-        let path = json::emit("pool_scaling", &metrics).expect("write json");
-        println!("json: {}", path.display());
-    }
+    args.emit("pool_scaling", &metrics);
 }

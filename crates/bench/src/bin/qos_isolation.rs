@@ -24,7 +24,7 @@
 //! Usage: `cargo run --release -p pm-bench --bin qos_isolation [--json] [--records N]`
 
 use hotstock::{run_hot_stock, HotStockParams, TxnSize};
-use pm_bench::Table;
+use pm_bench::{Args, Table};
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
 use simcore::SimTime;
@@ -111,18 +111,14 @@ fn resilver_alone() -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::parse();
     // Enough driver work (~2000 txns/driver) to keep commits flowing for
-    // the whole ~300 ms resilver window; --full matches the paper load.
-    // Default keeps the run short enough (~2.4 s simulated) that the
-    // ~300 ms resilver window covers >10% of commits — whole-run p99
-    // then reflects the contention. Much longer runs dilute the window
-    // out of the 99th percentile entirely.
-    let records = if let Some(i) = args.iter().position(|a| a == "--records") {
-        args[i + 1].parse().expect("--records N")
-    } else {
-        2_000
-    };
+    // the whole ~300 ms resilver window. The default keeps the run short
+    // enough (~2.4 s simulated) that the ~300 ms resilver window covers
+    // >10% of commits — whole-run p99 then reflects the contention. Much
+    // longer runs dilute the window out of the 99th percentile entirely,
+    // so `--full` does not scale this bench; `--records N` does.
+    let records = args.records.unwrap_or(2_000);
     eprintln!("qos_isolation: {records} records/driver (use --records N to scale)");
 
     // Arms run sequentially so the process-wide fabric counters can be
@@ -201,24 +197,21 @@ fn main() {
         fifo.p99_us / base_p99,
     );
 
-    if pm_bench::json::wants_json(&args) {
-        let mut metrics: Vec<(String, f64)> = vec![("resilver_alone_mb_s".to_string(), alone_mb_s)];
-        for a in &arms {
-            metrics.push((format!("{}_commit_p50_us", a.label), a.p50_us));
-            metrics.push((format!("{}_commit_p99_us", a.label), a.p99_us));
-            if a.resilver_mb_s > 0.0 {
-                metrics.push((format!("{}_resilver_mb_s", a.label), a.resilver_mb_s));
-            }
-            metrics.push((format!("{}_bulk_throttle_waits", a.label), a.throttle_waits));
-            metrics.extend(a.fabric.iter().cloned());
+    let mut metrics: Vec<(String, f64)> = vec![("resilver_alone_mb_s".to_string(), alone_mb_s)];
+    for a in &arms {
+        metrics.push((format!("{}_commit_p50_us", a.label), a.p50_us));
+        metrics.push((format!("{}_commit_p99_us", a.label), a.p99_us));
+        if a.resilver_mb_s > 0.0 {
+            metrics.push((format!("{}_resilver_mb_s", a.label), a.resilver_mb_s));
         }
-        metrics.push(("qos_on_p99_ratio".to_string(), drr90.p99_us / base_p99));
-        metrics.push(("qos_off_p99_ratio".to_string(), fifo.p99_us / base_p99));
-        metrics.push((
-            "qos_on_resilver_frac".to_string(),
-            drr90.resilver_mb_s / alone_mb_s,
-        ));
-        let path = pm_bench::json::emit("qos_isolation", &metrics).expect("write json");
-        println!("wrote {}", path.display());
+        metrics.push((format!("{}_bulk_throttle_waits", a.label), a.throttle_waits));
+        metrics.extend(a.fabric.iter().cloned());
     }
+    metrics.push(("qos_on_p99_ratio".to_string(), drr90.p99_us / base_p99));
+    metrics.push(("qos_off_p99_ratio".to_string(), fifo.p99_us / base_p99));
+    metrics.push((
+        "qos_on_resilver_frac".to_string(),
+        drr90.resilver_mb_s / alone_mb_s,
+    ));
+    args.emit("qos_isolation", &metrics);
 }

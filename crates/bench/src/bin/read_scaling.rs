@@ -5,11 +5,10 @@
 //! window keeps every stripe port busy and balanced routing doubles the
 //! serving ports).
 
-use pm_bench::{json, measure_pool_read_bw, ReadBwOpts, ReadWorkload, Table};
+use pm_bench::{json, measure_pool_read_bw, Args, ReadBwOpts, ReadWorkload, Table};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
+    let args = Args::parse();
 
     let mut metrics: Vec<(String, f64)> = Vec::new();
 
@@ -26,7 +25,7 @@ fn main() {
     for window in [1u32, 2, 4, 8] {
         for balanced in [false, true] {
             let mut o = ReadBwOpts::defaults(ReadWorkload::SmallOps, window, balanced);
-            if full {
+            if args.full {
                 o.batches_per_client *= 4;
             }
             let r = measure_pool_read_bw(o);
@@ -58,7 +57,7 @@ fn main() {
     for window in [1u32, 2, 4, 8] {
         for balanced in [false, true] {
             let mut o = ReadBwOpts::defaults(ReadWorkload::Bulk, window, balanced);
-            if full {
+            if args.full {
                 o.batches_per_client *= 4;
             }
             let r = measure_pool_read_bw(o);
@@ -89,7 +88,8 @@ fn main() {
         best_mb / base_mb
     );
 
-    if json::wants_json(&args) {
+    if args.json {
+        // `results/read_scaling.txt` records the artifact path this way.
         let path = json::emit("read_scaling", &metrics).expect("write json");
         println!("json: {}", path.display());
     }

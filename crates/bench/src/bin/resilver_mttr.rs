@@ -8,135 +8,14 @@
 //! with the copy chunk size — the knob trading repair time against
 //! foreground interference.
 
-use bytes::Bytes;
-use npmu::{Npmu, NpmuConfig};
-use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
-use nsk::Monitor;
-use pm_bench::Table;
-use pmclient::{PmLib, PmWriteTimeout};
-use pmm::msgs::CreateRegionAck;
-use pmm::{install_pmm_pair, PmmConfig, PmmHandle};
-use simcore::actor::Start;
-use simcore::fault::{Fault, FaultPlan};
+use pm_bench::rig::resilver_rig;
+use pm_bench::{Args, Table};
+use pmm::PmmConfig;
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Msg, Sim, SimDuration, SimTime};
-use simnet::{FabricConfig, NetDelivery, Network, RdmaWriteDone};
-
-/// Creates one region, then issues a small write inside the outage
-/// window so the PMM learns about the dead half.
-struct Client {
-    lib: PmLib,
-    region_len: u64,
-    region: Option<u64>,
-}
-
-struct Poke;
-
-impl Actor for Client {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        if msg.is::<Start>() {
-            self.lib
-                .create_region(ctx, "payload", self.region_len, false, 0);
-            return;
-        }
-        if msg.is::<Poke>() {
-            if let Some(id) = self.region {
-                self.lib
-                    .write(ctx, id, 0, Bytes::from(vec![0xD6u8; 4096]), 1);
-            }
-            return;
-        }
-        let msg = match msg.take::<RdmaWriteDone>() {
-            Ok((_, done)) => {
-                let _ = self.lib.on_rdma_write_done(ctx, &done);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmWriteTimeout>() {
-            Ok((_, t)) => {
-                let _ = self.lib.on_write_timeout(ctx, &t);
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok((_, d)) = msg.take::<NetDelivery>() {
-            if let Ok(ack) = d.payload.downcast::<CreateRegionAck>() {
-                let info = ack.result.expect("create failed");
-                self.region = Some(info.region_id);
-                self.lib.adopt(info);
-                // Write once the outage window is open (it starts at 2 ms).
-                ctx.send_self(SimDuration::from_millis(4), Poke);
-            }
-        }
-    }
-}
-
-fn build(region_len: u64, chunk: u32) -> (Sim, SharedMachine, PmmHandle) {
-    let mut store = DurableStore::new();
-    let mut sim = Sim::with_seed(7);
-    let net = Network::new(FabricConfig::default());
-    let machine = Machine::new(
-        MachineConfig {
-            cpus: 3,
-            ..MachineConfig::default()
-        },
-        net.clone(),
-    );
-    let cap = region_len + pmm::META_BYTES + (1 << 20);
-    let a = Npmu::install(
-        &mut sim,
-        &mut store,
-        &net,
-        Some(&machine),
-        "pm-a",
-        NpmuConfig::hardware(cap),
-    );
-    let b = Npmu::install(
-        &mut sim,
-        &mut store,
-        &net,
-        Some(&machine),
-        "pm-b",
-        NpmuConfig::hardware(cap),
-    );
-    let pmm = install_pmm_pair(
-        &mut sim,
-        &machine,
-        "$PMM",
-        &a,
-        &b,
-        CpuId(0),
-        None,
-        PmmConfig {
-            probe_interval: SimDuration::from_millis(10),
-            resilver_chunk: chunk,
-            ..PmmConfig::default()
-        },
-    );
-    // Half "b" dies at 2 ms and revives, stale, at 10 ms.
-    Monitor::install(
-        &mut sim,
-        &machine,
-        FaultPlan::none().with(Fault::NpmuDown {
-            volume_half: 1,
-            from: SimTime(2 * MILLIS),
-            to: SimTime(10 * MILLIS),
-        }),
-    );
-    let m2 = machine.clone();
-    nsk::machine::install_primary(&mut sim, &machine, "$client", CpuId(2), move |ep| {
-        Box::new(Client {
-            lib: PmLib::new(m2, ep, CpuId(2), "$PMM"),
-            region_len,
-            region: None,
-        })
-    });
-    (sim, machine, pmm)
-}
+use simcore::SimTime;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::parse();
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut t = Table::new(&[
         "region_MB",
@@ -153,7 +32,18 @@ fn main() {
         (16, 64),
         (16, 1024),
     ] {
-        let (mut sim, _machine, pmm) = build(mb << 20, chunk_kb << 10);
+        let region_len = mb << 20;
+        let cap = region_len + pmm::META_BYTES + (1 << 20);
+        let (mut sim, _net, pmm) = resilver_rig(
+            1,
+            cap,
+            region_len,
+            None,
+            PmmConfig {
+                resilver_chunk: chunk_kb << 10,
+                ..PmmConfig::default()
+            },
+        );
         // Generous ceiling; the run idles out long before it.
         let ceiling = SimTime(300 * SECS);
         while pmm.stats.lock().resilvers_completed == 0 {
@@ -186,8 +76,5 @@ fn main() {
         "repair time scales linearly with allocated bytes; the windowed copy \
          engine keeps the wire busy, so chunk size barely moves the rate"
     );
-    if pm_bench::json::wants_json(&args) {
-        let path = pm_bench::json::emit("resilver_mttr", &metrics).expect("write json");
-        println!("wrote {}", path.display());
-    }
+    args.emit("resilver_mttr", &metrics);
 }

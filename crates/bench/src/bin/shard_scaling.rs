@@ -21,7 +21,7 @@
 //! vs 1 node with 10% cross-shard transactions; the population row
 //! achieves >= 85% of its offered load with p99 under 100 ms.
 
-use pm_bench::{json, Table};
+use pm_bench::{Args, Table};
 use pmem::s86000_cluster;
 use simcore::time::SECS;
 use simcore::{DurableStore, SimDuration, SimTime};
@@ -62,9 +62,8 @@ fn run_point(nodes: u32, cross_pct: u32, cfg_tweak: impl FnOnce(&mut WorkloadCon
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let run_ms: u64 = if full { 1_500 } else { 400 };
+    let args = Args::parse();
+    let run_ms: u64 = if args.full { 1_500 } else { 400 };
     let nodes: &[u32] = &[1, 2, 4, 8];
     let crosses = [0u32, 10, 50];
 
@@ -129,7 +128,11 @@ fn main() {
     let p = run_point(4, 10, |c| {
         c.clients = clients;
         c.think = ThinkTime::Exponential { mean_ns: think_ns };
-        c.run_for = Some(SimDuration::from_millis(if full { 2_000 } else { 800 }));
+        c.run_for = Some(SimDuration::from_millis(if args.full {
+            2_000
+        } else {
+            800
+        }));
     });
     println!(
         "population: {clients} clients, offered {:.0}/s -> achieved {:.0}/s, p99 {:.1} ms",
@@ -158,8 +161,5 @@ fn main() {
         p.p99_us
     );
 
-    if json::wants_json(&args) {
-        let path = json::emit("shard_scaling", &metrics).expect("write json");
-        println!("wrote {}", path.display());
-    }
+    args.emit("shard_scaling", &metrics);
 }

@@ -3,14 +3,14 @@
 //! results in 100s of microseconds – usually milliseconds – of I/O
 //! latency" vs host-initiated RDMA PM at "only 10s of microseconds".
 
-use pm_bench::{json, measure_disk_write, measure_pm_write, MeasureOpts, PmPathVariant, Table};
+use pm_bench::{measure_disk_write, measure_pm_write, Args, MeasureOpts, PmPathVariant, Table};
 use pmem::NpmuConfig;
 use simdisk::{DiskConfig, WriteCachePolicy};
 use simnet::{FabricConfig, ServerNetGen};
 
 fn main() {
     const N: u32 = 200;
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::parse();
     let mut t = Table::new(&["path", "size_B", "mean_us", "p95_us", "durable"]);
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let record =
@@ -99,8 +99,5 @@ fn main() {
     t.print("T1: durable-write latency by attachment (paper §3.2–§3.3)");
     println!("paper bands: storage stack = 100s of us .. ms; PM direct = 10s of us");
 
-    if json::wants_json(&args) {
-        let path = json::emit("t1_latency", &metrics).expect("write json");
-        println!("json: {}", path.display());
-    }
+    args.emit("t1_latency", &metrics);
 }

@@ -6,11 +6,11 @@
 //! synchronous PM write.
 
 use hotstock::{run_hot_stock, HotStockParams, TxnSize};
-use pm_bench::{json, Table};
+use pm_bench::{Args, Table};
 use txnkit::scenario::AuditMode;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::parse();
     let records = 1000;
     let disk = run_hot_stock(HotStockParams::scaled(
         1,
@@ -95,8 +95,5 @@ fn main() {
          into the mirrored PM write, and the flush is amortized across the boxcar)"
     );
 
-    if json::wants_json(&args) {
-        let path = json::emit("t2_actions", &metrics).expect("write json");
-        println!("json: {}", path.display());
-    }
+    args.emit("t2_actions", &metrics);
 }

@@ -12,7 +12,7 @@
 //! The redo pass itself is validated against a generated trail.
 
 use bytes::{Bytes, BytesMut};
-use pm_bench::{json, Table};
+use pm_bench::{Args, Table};
 use simdisk::DiskConfig;
 use simnet::FabricConfig;
 use txnkit::audit::AuditRecord;
@@ -20,7 +20,7 @@ use txnkit::recovery::{mttr_disk_scan, mttr_pm_scan, mttr_pm_with_tcb, redo_scan
 use txnkit::types::{PartitionId, TxnId};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::parse();
     let disk = DiskConfig::audit_volume();
     let fabric = FabricConfig::default();
     let mut metrics: Vec<(String, f64)> = Vec::new();
@@ -106,8 +106,5 @@ fn main() {
     println!(
         "paper: shorter MTTR \"is the mantra for both better availability and data integrity\""
     );
-    if json::wants_json(&args) {
-        let path = json::emit("t3_mttr", &metrics).expect("write json");
-        println!("wrote {}", path.display());
-    }
+    args.emit("t3_mttr", &metrics);
 }

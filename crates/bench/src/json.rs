@@ -6,11 +6,6 @@
 
 use std::path::PathBuf;
 
-/// `true` when the harness was invoked with `--json`.
-pub fn wants_json(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--json")
-}
-
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -121,12 +116,5 @@ mod tests {
     fn non_finite_values_become_null() {
         let doc = render("x", &[("bad".to_string(), f64::NAN)]);
         assert!(doc.contains("\"bad\": null"));
-    }
-
-    #[test]
-    fn flag_detection() {
-        let args = vec!["prog".to_string(), "--json".to_string()];
-        assert!(wants_json(&args));
-        assert!(!wants_json(&["prog".to_string()]));
     }
 }
