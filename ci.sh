@@ -43,7 +43,7 @@ cargo run --release -p pm-bench --bin georep
 # --workspace --release` above already ran it once; FUZZ_FULL=1 widens
 # to the ≥ 2000-point sweep).
 FUZZ_FULL="${FUZZ_FULL:-}" cargo test --release --test crash_fuzz
-# Throughput-regression gate: fresh --json runs vs committed results/.
+# Artifact gate: fresh --json runs must match committed results/ exactly.
 tools/bench_check.sh
 # Docs must build clean (broken intra-doc links fail the gate).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
