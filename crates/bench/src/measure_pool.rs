@@ -12,14 +12,14 @@ use bytes::Bytes;
 use npmu::NpmuConfig;
 use nsk::machine::{CpuId, Machine, MachineConfig};
 use parking_lot::Mutex;
-use pmclient::{PmLib, PmWriteTimeout};
+use pmclient::{PmEvent, PmLib};
 use pmem::install_pm_pool;
 use pmm::msgs::{CreateRegionAck, OpenRegionAck};
 use pmm::PlacementHint;
 use simcore::actor::Start;
 use simcore::time::{MILLIS, SECS};
 use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Sim, SimTime};
-use simnet::{FabricConfig, NetDelivery, Network, RdmaWriteDone};
+use simnet::{FabricConfig, NetDelivery, Network};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -183,22 +183,12 @@ impl Actor for PoolWriter {
             );
             return;
         }
-        let msg = match msg.take::<RdmaWriteDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_write_done(ctx, &done) {
-                    self.complete(ctx, c);
-                }
+        let msg = match self.lib.on_msg(ctx, msg) {
+            Ok(Some(PmEvent::Write(c))) => {
+                self.complete(ctx, c);
                 return;
             }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmWriteTimeout>() {
-            Ok((_, t)) => {
-                if let Some(c) = self.lib.on_write_timeout(ctx, &t) {
-                    self.complete(ctx, c);
-                }
-                return;
-            }
+            Ok(_) => return,
             Err(m) => m,
         };
         if let Ok((_, d)) = msg.take::<NetDelivery>() {

@@ -16,14 +16,14 @@
 use npmu::NpmuConfig;
 use nsk::machine::{CpuId, Machine, MachineConfig};
 use parking_lot::Mutex;
-use pmclient::{PmClientConfig, PmLib, PmReadTimeout, ReadRouting};
+use pmclient::{PmClientConfig, PmEvent, PmLib, ReadRouting};
 use pmem::install_pm_pool;
 use pmm::msgs::{CreateRegionAck, OpenRegionAck};
 use pmm::PlacementHint;
 use simcore::actor::Start;
 use simcore::time::{MILLIS, SECS};
 use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Sim, SimDuration, SimTime};
-use simnet::{FabricConfig, NetDelivery, Network, RdmaReadDone};
+use simnet::{FabricConfig, NetDelivery, Network};
 use std::sync::Arc;
 
 /// Stripe unit the rig assumes (the placement policy default).
@@ -215,22 +215,12 @@ impl Actor for PoolReader {
             );
             return;
         }
-        let msg = match msg.take::<RdmaReadDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_read_done(ctx, done) {
-                    self.complete(ctx, c);
-                }
+        let msg = match self.lib.on_msg(ctx, msg) {
+            Ok(Some(PmEvent::Read(c))) => {
+                self.complete(ctx, c);
                 return;
             }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmReadTimeout>() {
-            Ok((_, t)) => {
-                if let Some(c) = self.lib.on_read_timeout(ctx, &t) {
-                    self.complete(ctx, c);
-                }
-                return;
-            }
+            Ok(_) => return,
             Err(m) => m,
         };
         if let Ok((_, d)) = msg.take::<NetDelivery>() {

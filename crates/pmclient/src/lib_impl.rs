@@ -4,7 +4,7 @@ use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
 use pmm::msgs::*;
 use pmm::PlacementHint;
-use simcore::{Ctx, SimDuration};
+use simcore::{Ctx, Msg, SimDuration};
 use simnet::{
     rdma_append, rdma_flush, rdma_read, rdma_write_sized, EndpointId, PersistMode, RdmaAppendDone,
     RdmaFlushDone, RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedNetwork, TrafficClass,
@@ -144,6 +144,14 @@ pub struct PmAppendComplete {
     pub status: RdmaStatus,
     pub tail: u64,
     pub degraded: bool,
+}
+
+/// A client-level completion, as routed by [`PmLib::on_msg`].
+#[derive(Clone, Debug)]
+pub enum PmEvent {
+    Write(PmWriteComplete),
+    Read(PmReadComplete),
+    Append(PmAppendComplete),
 }
 
 /// Self-addressed timer armed per mirrored append; feed to
@@ -398,6 +406,45 @@ impl PmLib {
 
     pub fn config(&self) -> &PmClientConfig {
         &self.cfg
+    }
+
+    /// Feed any message the library may own — a fabric completion or one
+    /// of its own timers — to the matching `on_*` method. `Err` hands back
+    /// a message that is not the library's; `Ok(None)` means it was
+    /// consumed without finishing a client operation.
+    pub fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) -> Result<Option<PmEvent>, Msg> {
+        use PmEvent::{Append, Read, Write};
+        let msg = match msg.take::<RdmaWriteDone>() {
+            Ok((_, d)) => return Ok(self.on_rdma_write_done(ctx, &d).map(Write)),
+            Err(m) => m,
+        };
+        let msg = match msg.take::<PmWriteTimeout>() {
+            Ok((_, t)) => return Ok(self.on_write_timeout(ctx, &t).map(Write)),
+            Err(m) => m,
+        };
+        let msg = match msg.take::<RdmaFlushDone>() {
+            Ok((_, d)) => return Ok(self.on_rdma_flush_done(ctx, &d).map(Write)),
+            Err(m) => m,
+        };
+        let msg = match msg.take::<RdmaReadDone>() {
+            Ok((_, d)) => match self.on_persist_read_done(ctx, &d) {
+                Some(c) => return Ok(Some(Write(c))),
+                None => return Ok(self.on_rdma_read_done(ctx, d).map(Read)),
+            },
+            Err(m) => m,
+        };
+        let msg = match msg.take::<PmReadTimeout>() {
+            Ok((_, t)) => return Ok(self.on_read_timeout(ctx, &t).map(Read)),
+            Err(m) => m,
+        };
+        let msg = match msg.take::<RdmaAppendDone>() {
+            Ok((_, d)) => return Ok(self.on_rdma_append_done(ctx, &d).map(Append)),
+            Err(m) => m,
+        };
+        match msg.take::<PmAppendTimeout>() {
+            Ok((_, t)) => Ok(self.on_append_timeout(ctx, &t).map(Append)),
+            Err(m) => Err(m),
+        }
     }
 
     /// Suspect state for a region's halves (`[primary, mirror]`), OR-ed

@@ -43,12 +43,9 @@ use crate::types::{SubscribeTrail, TrailAdvance};
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
 use parking_lot::Mutex;
-use pmclient::{PmClientConfig, PmLib, PmReadTimeout, PmWriteTimeout};
+use pmclient::{PmClientConfig, PmEvent, PmLib};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration};
-use simnet::{
-    EndpointId, NetDelivery, RdmaFlushDone, RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedWanLink,
-    TrafficClass,
-};
+use simnet::{EndpointId, NetDelivery, RdmaStatus, SharedWanLink, TrafficClass};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -512,22 +509,12 @@ impl Actor for LogShipper {
             Err(m) => m,
         };
         // PmLib read completions.
-        let msg = match msg.take::<RdmaReadDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_read_done(ctx, done) {
-                    self.read_complete(ctx, c.token, c.status, c.data);
-                }
+        let msg = match self.lib.on_msg(ctx, msg) {
+            Ok(Some(PmEvent::Read(c))) => {
+                self.read_complete(ctx, c.token, c.status, c.data);
                 return;
             }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmReadTimeout>() {
-            Ok((_, t)) => {
-                if let Some(c) = self.lib.on_read_timeout(ctx, &t) {
-                    self.read_complete(ctx, c.token, c.status, c.data);
-                }
-                return;
-            }
+            Ok(_) => return,
             Err(m) => m,
         };
         if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
@@ -790,51 +777,16 @@ impl Actor for ReplicaApply {
             Err(m) => m,
         };
         // PmLib completions (writes, persist phases, reads).
-        let msg = match msg.take::<RdmaWriteDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_write_done(ctx, &done) {
-                    self.write_complete(ctx, c);
-                }
+        let msg = match self.lib.on_msg(ctx, msg) {
+            Ok(Some(PmEvent::Write(c))) => {
+                self.write_complete(ctx, c);
                 return;
             }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmWriteTimeout>() {
-            Ok((_, t)) => {
-                if let Some(c) = self.lib.on_write_timeout(ctx, &t) {
-                    self.write_complete(ctx, c);
-                }
+            Ok(Some(PmEvent::Read(c))) => {
+                self.read_complete(ctx, c.token, c.status, c.data);
                 return;
             }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<RdmaFlushDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_flush_done(ctx, &done) {
-                    self.write_complete(ctx, c);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<RdmaReadDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_persist_read_done(ctx, &done) {
-                    self.write_complete(ctx, c);
-                } else if let Some(c) = self.lib.on_rdma_read_done(ctx, done) {
-                    self.read_complete(ctx, c.token, c.status, c.data);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmReadTimeout>() {
-            Ok((_, t)) => {
-                if let Some(c) = self.lib.on_read_timeout(ctx, &t) {
-                    self.read_complete(ctx, c.token, c.status, c.data);
-                }
-                return;
-            }
+            Ok(_) => return,
             Err(m) => m,
         };
         if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
